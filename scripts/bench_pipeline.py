@@ -6,9 +6,9 @@ Two sections:
 - ``preprocess`` — one PIN-entry trial at the paper's shape (4 PPG
   channels, ~5 s at 100 Hz), timed through three paths:
 
-  - ``reference`` — the pre-optimization path, kept as
-    ``repro.core.pipeline._preprocess_trial_reference``: per-channel
-    median filtering and a generic sparse-LU detrend solve per channel;
+  - ``reference`` — the pre-optimization path, kept as the test oracle
+    ``tests.oracles.preprocess_trial_reference``: per-channel median
+    filtering and a generic sparse-LU detrend solve per channel;
   - ``banded`` — ``preprocess_trial``: vectorized median filter, one
     per-trial Savitzky-Golay pass, and the cached banded-Cholesky
     multi-RHS detrend;
@@ -47,10 +47,10 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the test oracles live in tests/
 
 from repro.config import PipelineConfig  # noqa: E402
 from repro.core.pipeline import (  # noqa: E402
-    _preprocess_trial_reference,
     preprocess_trial,
     preprocess_trials,
 )
@@ -62,6 +62,7 @@ from repro.eval.featurecache import (  # noqa: E402
 )
 from repro.eval.protocol import evaluate_user  # noqa: E402
 from repro.signal.detrend import clear_detrend_cache  # noqa: E402
+from tests.oracles import preprocess_trial_reference  # noqa: E402
 
 
 def _time_call(fn, repeats: int):
@@ -100,7 +101,7 @@ def bench_preprocess(n_trials: int, repeats: int):
     shapes = sorted({t.recording.samples.shape for t in trials})
 
     def run_reference():
-        return [_preprocess_trial_reference(t, config) for t in trials]
+        return [preprocess_trial_reference(t, config) for t in trials]
 
     def run_banded():
         clear_detrend_cache()

@@ -5,8 +5,8 @@ Times ``fit`` and ``transform`` at the paper's shapes (90-sample
 keystroke segments, 1 and 4 PPG channels, the ~10K-feature budget) for
 each available engine:
 
-- ``reference`` — the original per-kernel Python loop, kept as
-  ``MiniRocket._transform_reference`` for parity testing;
+- ``reference`` — the original per-kernel Python loop, kept as the
+  test oracle ``tests.oracles.transform_reference``;
 - ``vectorized`` — the batched NumPy linear-algebra engine;
 - ``c`` — the compiled kernel (built on demand; skipped when no C
   compiler is available).
@@ -40,9 +40,11 @@ import numpy as np
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the test oracles live in tests/
 
 from repro.features import minirocket as mr  # noqa: E402
 from repro.features.minirocket import MiniRocket  # noqa: E402
+from tests.oracles import transform_reference  # noqa: E402
 
 #: (name, n_instances, n_channels, length, num_features, repeats)
 FULL_CASES = (
@@ -94,7 +96,7 @@ def bench_case(name, n, channels, length, num_features, repeats):
     def run_c() -> np.ndarray:
         return MiniRocket.transform(_fitted_clone(rocket, "c"), x)
 
-    engines = {"reference": lambda: rocket._transform_reference(x)}
+    engines = {"reference": lambda: transform_reference(rocket, x)}
     engines["vectorized"] = run_vectorized
     if mr.c_kernel_available():
         engines["c"] = run_c

@@ -14,7 +14,6 @@ from .authentication import AuthDecision, authenticate_preprocessed
 from .authenticator import P2Auth
 from .backends import PackedArenaBackend, ShardedPackedBackend
 from .degradation import DegradationEvent, DegradationPolicy, apply_policy
-from .hotpath import HotAuthPipeline
 from .packing import (
     PackedAuthenticator,
     pack_authenticator,
@@ -93,7 +92,6 @@ __all__ = [
     "FeatureBlock",
     "Features",
     "FeaturizeStage",
-    "HotAuthPipeline",
     "ModelRegistry",
     "NegativeBank",
     "NpzDirectoryBackend",

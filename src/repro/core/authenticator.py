@@ -31,7 +31,6 @@ from .enrollment import (
     NegativeBank,
     enroll_models,
 )
-from .hotpath import HotAuthPipeline
 from .pin import PinVerifier
 from .stages import AuthDecision, AuthPipeline
 
@@ -68,12 +67,11 @@ class P2Auth:
         self._options = options if options is not None else EnrollmentOptions()
         self._policy = policy
         # Lazy engine builds are double-checked against this lock; the
-        # unlocked fast-path reads in `pipeline`/`hot_pipeline` are the
+        # unlocked fast-path reads in `pipeline` are the
         # deliberate (suppressed) half of that pattern.
         self._engine_lock = threading.Lock()
         self._models: Optional[EnrolledModels] = None  # guarded-by: _engine_lock
         self._stage_pipeline: Optional[AuthPipeline] = None  # guarded-by: _engine_lock
-        self._hot_pipeline: Optional[HotAuthPipeline] = None  # guarded-by: _engine_lock
         # Move the one-off C-kernel compile/load off the request path:
         # constructing an authenticator is the natural "service starting"
         # moment, authenticate() is not.
@@ -145,41 +143,10 @@ class P2Auth:
                 )
             return self._stage_pipeline
 
-    @property
-    def hot_pipeline(self) -> HotAuthPipeline:
-        """The fused low-latency engine (raises before enrollment).
-
-        Bit-identical to :attr:`pipeline` decision-for-decision; rebuilt
-        automatically when the models change, like the staged one.
-        """
-        # reprolint: disable-next=RL010 -- deliberate unlocked fast path
-        models = self._models
-        if models is None:
-            raise EnrollmentError("enroll a user before authenticating")
-        # reprolint: disable-next=RL010 -- deliberate unlocked fast path
-        pipeline = self._hot_pipeline
-        if pipeline is not None and pipeline.models is models:
-            return pipeline
-        with self._engine_lock:
-            models = self._models
-            if models is None:  # pragma: no cover - raced with un-enroll
-                raise EnrollmentError("enroll a user before authenticating")
-            if (
-                self._hot_pipeline is None
-                or self._hot_pipeline.models is not models
-            ):
-                self._hot_pipeline = HotAuthPipeline(
-                    models,
-                    config=self._config,
-                    policy=self._policy,
-                    no_pin_mode=self.no_pin_mode,
-                )
-            return self._hot_pipeline
-
     def warmup(self, signal_lengths: Sequence[int] = ()) -> bool:
         """Pay one-off costs now so the first authenticate call doesn't.
 
-        Delegates to :meth:`HotAuthPipeline.warmup` once a user is
+        Delegates to :meth:`AuthPipeline.warmup` once a user is
         enrolled (C-kernel plans, SG coefficients, optional detrend
         factorizations for the given signal lengths); before enrollment
         only the feature engine is warmed. Idempotent: a second call
@@ -189,7 +156,7 @@ class P2Auth:
         if self._models is None:
             warm_engine()
             return False
-        return self.hot_pipeline.warmup(signal_lengths)
+        return self.pipeline.warmup(signal_lengths)
 
     def enroll(
         self,
@@ -218,7 +185,6 @@ class P2Auth:
         with self._engine_lock:
             self._models = models
             self._stage_pipeline = None
-            self._hot_pipeline = None
         return self
 
     def _pin_verdict(
@@ -256,25 +222,6 @@ class P2Auth:
         return self.pipeline.run(
             [trial], [self._pin_verdict(trial, claimed_pin)], profile=profile
         )[0]
-
-    def authenticate_fast(
-        self,
-        trial: PinEntryTrial,
-        claimed_pin: Optional[str] = None,
-    ) -> AuthDecision:
-        """Authenticate one trial on the fused low-latency path.
-
-        Bit-identical to :meth:`authenticate` (same decision fields,
-        same exceptions — pinned by ``tests/test_stage_parity.py``) but
-        runs :class:`~repro.core.hotpath.HotAuthPipeline`: no
-        intermediate stage artifacts, preallocated scratch buffers, and
-        the pre-marshalled C-kernel call. Call :meth:`warmup` first to
-        keep one-off costs out of the request; see
-        ``docs/performance.md`` for the latency budget.
-        """
-        return self.hot_pipeline.authenticate(
-            trial, self._pin_verdict(trial, claimed_pin)
-        )
 
     def authenticate_many(
         self,

@@ -8,11 +8,15 @@ result carries everything the enrollment and authentication phases
 need: detrended channels, calibrated per-keystroke indices, and the
 per-keystroke detection flags that drive input-case identification.
 
-``preprocess_trials`` is the batched entry point: the median filter is
-vectorized across channels, and same-length trials are stacked so all
-their channels go through the smoothness-priors detrend as a single
-multi-RHS banded solve against one cached factorization.
-``preprocess_trial`` delegates to it.
+``preprocess_trials`` is the one implementation, for single probes and
+batches alike: the median filter is a selection network vectorized
+across channels, calibration smooths with cached Savitzky-Golay FIR
+coefficients and scores every keystroke in one gather, and same-length
+trials are stacked so all their channels go through the
+smoothness-priors detrend as a single multi-RHS ``pbtrs`` solve against
+one cached factorization. ``preprocess_trial`` delegates to it. The
+slower pre-optimization kernels survive only as test oracles
+(``tests/oracles.py``), pinned bit-for-bit to these.
 """
 
 from __future__ import annotations
@@ -132,11 +136,7 @@ def _finalize_trial(
 
 
 def _validate_probe(trial: PinEntryTrial, config: PipelineConfig) -> None:
-    """Input checks shared by the batched and fused preprocessing paths.
-
-    Raising the exact same errors from both entry points is part of the
-    hot path's parity contract (``repro.core.hotpath``).
-    """
+    """Typed input checks run before any signal processing."""
     if abs(trial.recording.fs - config.fs) > 1e-9:
         raise SignalError(
             f"recording at {trial.recording.fs} Hz but pipeline configured "
@@ -229,70 +229,3 @@ def preprocess_trial(
     """
     return preprocess_trials([trial], config)[0]
 
-
-def _preprocess_trial_reference(
-    trial: PinEntryTrial, config: Optional[PipelineConfig] = None
-) -> PreprocessedTrial:
-    """Pre-optimization reference path, kept for parity and benchmarks.
-
-    Reproduces the original per-trial cost profile: median-filters each
-    channel in a Python loop, calibrates each keystroke with its own
-    Savitzky-Golay pass over the full reference (the pre-hoisting
-    behavior of ``calibrate_keystroke_index``), and estimates each
-    channel's trend with the generic sparse-LU solver. Results match
-    :func:`preprocess_trial` to solver precision.
-    """
-    from ..signal.calibration import calibrate_keystroke_index
-    from ..signal.detrend import _estimate_trend_reference
-    from ..signal.filters import median_filter
-
-    if config is None:
-        config = PipelineConfig()
-    recording = trial.recording
-    if abs(recording.fs - config.fs) > 1e-9:
-        raise SignalError(
-            f"recording at {recording.fs} Hz but pipeline configured "
-            f"for {config.fs} Hz; use PipelineConfig.scaled_to"
-        )
-
-    filtered = np.vstack(
-        [median_filter(ch, config.median_kernel) for ch in recording.samples]
-    )
-    calibration_reference = filtered.mean(axis=0)
-    indices = []
-    for event in trial.events:
-        raw_index = int(
-            round((event.reported_time - recording.start_time) * recording.fs)
-        )
-        raw_index = int(np.clip(raw_index, 0, recording.n_samples - 1))
-        indices.append(
-            calibrate_keystroke_index(
-                calibration_reference,
-                raw_index,
-                window=config.calibration_window,
-                sg_window=config.sg_window,
-                sg_polyorder=config.sg_polyorder,
-            )
-        )
-
-    detrended = filtered - np.vstack(
-        [
-            _estimate_trend_reference(ch, config.detrend_lambda)
-            for ch in filtered
-        ]
-    )
-    reference = detrended.mean(axis=0)
-    energy = short_time_energy(reference, config.energy_window)
-    threshold = config.energy_threshold_ratio * float(energy.mean())
-    detected = tuple(bool(energy[i] > threshold) for i in indices)
-
-    return PreprocessedTrial(
-        trial=trial,
-        filtered=filtered,
-        detrended=detrended,
-        reference=reference,
-        keystroke_indices=tuple(int(i) for i in indices),
-        keystroke_detected=detected,
-        energy_threshold=threshold,
-        config=config,
-    )

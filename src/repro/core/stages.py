@@ -19,7 +19,12 @@ Each stage wraps the pre-existing functions (``apply_policy``,
 ``preprocess_trials``, segmentation/fusion, ``WaveformModel._featurize``,
 score integration) without reimplementing them, which is what keeps the
 staged path bit-identical to the historical monolithic one (asserted by
-``tests/test_stage_parity.py``).
+``tests/test_stage_parity.py``). The fast kernels live *inside* those
+functions — the selection-network median, the cached Savitzky-Golay FIR
+calibration, the direct ``pbtrs`` detrend solve, and the pre-marshalled
+MiniRocket C-kernel plan — so a single probe and a batch take the same
+path; :meth:`AuthPipeline.warmup` moves their one-off costs out of the
+request.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
     runtime_checkable,
@@ -36,8 +42,12 @@ from typing import (
 
 import numpy as np
 
+from ..concurrency import checked_rlock
 from ..config import PipelineConfig
 from ..errors import AuthenticationError, NotFittedError
+from ..features import warm_engine
+from ..signal.detrend import warm_detrend_factor
+from ..signal.filters import warm_savgol
 from ..types import InputCase, PinEntryTrial
 from .artifacts import (
     AuthDecision,
@@ -365,6 +375,12 @@ class AuthPipeline:
             historical behaviour).
         policy: graceful-degradation policy (``None`` disables it).
         no_pin_mode: authenticate by keystroke pattern alone.
+
+    Thread-safe: stages allocate per call and share only read-only
+    model state, so concurrent ``run`` calls on one instance are
+    decision-identical to serial runs (pinned by
+    ``tests/concurrency/test_race_stress.py``). The warmup flags are
+    the only mutable state and sit behind an internal lock.
     """
 
     def __init__(
@@ -378,12 +394,72 @@ class AuthPipeline:
         self.config = config if config is not None else models.config
         self.policy = policy
         self.no_pin_mode = no_pin_mode
+        self._warm_lock = checked_rlock("AuthPipeline._warm_lock")
+        self._warmed = False  # guarded-by: _warm_lock
+        self._warmed_lengths: Set[int] = set()  # guarded-by: _warm_lock
         self.repair = RepairStage(self.config, policy)
         self.preprocess = PreprocessStage(self.config)
         self.segment = SegmentStage(models, no_pin_mode)
         self.featurize = FeaturizeStage(models)
         self.classify = ClassifyStage()
         self.decide = DecideStage()
+
+    def warmup(self, signal_lengths: Sequence[int] = ()) -> bool:
+        """Pay every one-off cost ahead of the first ``run`` call.
+
+        Compiles/loads the MiniRocket C kernel, marshals each enrolled
+        extractor's transform plan (one throwaway transform each),
+        primes the Savitzky-Golay coefficient cache, and — for each
+        length in ``signal_lengths`` — the banded-Cholesky detrend
+        factorization. Nothing per-thread or per-request is allocated.
+        Results are unaffected: a warmed and an unwarmed pipeline return
+        bit-identical decisions.
+
+        Args:
+            signal_lengths: expected probe lengths whose detrend
+                factorizations should be primed (the factor cache keys
+                on length, which is unknown until a probe arrives).
+
+        Returns:
+            True when any cold work was done; False when everything was
+            already warm (the idempotence contract — a second call with
+            the same arguments is a no-op). A *concurrent* caller may
+            see False while another thread's warm work is still in
+            flight; results are unaffected either way, and the registry
+            publishes instances only after their warmup returned.
+        """
+        # Claim outstanding work under the lock, run it outside: the
+        # underlying warms are idempotent process-wide caches, so a
+        # racing claimer doing duplicate cache fills would be benign —
+        # but holding the lock across a kernel compile (RL012) would
+        # stall every concurrent warmup behind one slow build.
+        with self._warm_lock:
+            need_engine = not self._warmed
+            self._warmed = True
+            new_lengths: List[int] = []
+            for length in signal_lengths:
+                length = int(length)
+                if length not in self._warmed_lengths:
+                    self._warmed_lengths.add(length)
+                    new_lengths.append(length)
+        if need_engine:
+            warm_engine()
+            warm_savgol(self.config.sg_window, self.config.sg_polyorder)
+            models = self.models
+            warmed = set()
+            for model in (
+                models.full_model,
+                models.fused_model,
+                *models.key_models.values(),
+            ):
+                rocket = getattr(model, "_rocket", None)
+                if rocket is not None and rocket._fitted:
+                    if id(rocket) not in warmed:
+                        rocket.warm()
+                        warmed.add(id(rocket))
+        for length in new_lengths:
+            warm_detrend_factor(length, self.config.detrend_lambda)
+        return need_engine or bool(new_lengths)
 
     @property
     def stages(self) -> Tuple[Stage, ...]:

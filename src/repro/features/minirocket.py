@@ -45,8 +45,9 @@ produce bit-identical features (see ``docs/performance.md``):
   module-level :data:`KERNEL_WEIGHTS` with the shifted stack, and the
   PPV pooling is broadcast across the whole (kernel, feature) grid.
   Instance batching (``batch_size``) bounds peak memory.
-- ``"reference"`` — the original per-kernel Python loop, kept verbatim
-  as :meth:`MiniRocket._transform_reference` for parity testing.
+- ``"reference"`` — the original per-kernel Python loop
+  (:meth:`MiniRocket._transform_loop`), the parity oracle of the two
+  fast engines.
 
 The engine is chosen per instance (``engine=`` constructor argument) or
 globally via the ``REPRO_MINIROCKET_ENGINE`` environment variable
@@ -694,16 +695,6 @@ class MiniRocket:
                         )
                     blocks.extend(feats)
         return np.column_stack(blocks)
-
-    def _transform_reference(self, x: np.ndarray) -> np.ndarray:
-        """Transform with the original per-kernel Python loop.
-
-        The loop is the pre-vectorization implementation, preserved
-        unchanged; the vectorized and compiled engines are tested for
-        bit-identical output against it.
-        """
-        x = self._check_transform_input(x)
-        return self._transform_loop(x)
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         """Fit on ``x`` and return its transform."""

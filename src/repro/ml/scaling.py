@@ -37,7 +37,9 @@ class StandardScaler:
         if self._mean is None or self._scale is None:
             raise NotFittedError("StandardScaler.fit has not been called")
         x = np.asarray(x, dtype=np.float64)
-        return (x - self._mean) / self._scale
+        out = x - self._mean
+        out /= self._scale  # in place: one temporary instead of two
+        return out
 
     def fit_transform(self, x: np.ndarray) -> np.ndarray:
         """Fit on ``x`` and return its standardized values."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import hmac
+import math
 import secrets
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -174,6 +175,25 @@ def _get_str(payload: Mapping[str, Any], name: str, ctx: str) -> str:
     return value
 
 
+def _get_finite(payload: Mapping[str, Any], name: str, ctx: str) -> float:
+    """A required JSON number that is a finite float.
+
+    Python's ``json`` accepts ``NaN``/``Infinity`` literals and
+    arbitrarily large integers; either would otherwise reach the signal
+    kernels as a NaN or an overflow and fail untyped.
+    """
+    value = _get(payload, name, (int, float), ctx)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProtocolError(
+            f"{ctx}: field {name!r} must be a finite number, got {value!r}"
+        )
+    return number
+
+
 # ---------------------------------------------------------------------------
 # Trial encoding: keystroke timing + PPG samples, no digit labels
 # ---------------------------------------------------------------------------
@@ -224,8 +244,8 @@ def _decode_recording(payload: Mapping[str, Any], ctx: str) -> PPGRecording:
     _reject_unknown(
         rec, ("fs", "start_time", "shape", "channels", "samples_b64"), ctx
     )
-    fs = float(_get(rec, "fs", (int, float), ctx))
-    start_time = float(_get(rec, "start_time", (int, float), ctx))
+    fs = _get_finite(rec, "fs", ctx)
+    start_time = _get_finite(rec, "start_time", ctx)
     shape = _get(rec, "shape", (list, tuple), ctx)
     if len(shape) != 2 or not all(isinstance(d, int) and d > 0 for d in shape):
         raise ProtocolError(f"{ctx}: shape must be two positive integers")
@@ -307,10 +327,8 @@ def decode_trial(payload: Mapping[str, Any], pin: str) -> PinEntryTrial:
         events.append(
             KeystrokeEvent(
                 key=digit,
-                true_time=float(_get(ev, "true_time", (int, float), ectx)),
-                reported_time=float(
-                    _get(ev, "reported_time", (int, float), ectx)
-                ),
+                true_time=_get_finite(ev, "true_time", ectx),
+                reported_time=_get_finite(ev, "reported_time", ectx),
                 hand=hand,
             )
         )

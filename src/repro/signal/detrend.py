@@ -14,18 +14,17 @@ identification depends on.
 
 The system matrix :math:`A = I + \\lambda^2 D_2^T D_2` is symmetric
 positive-definite and pentadiagonal, so it is solved with a banded
-Cholesky factorization (``scipy.linalg.cholesky_banded`` +
-``cho_solve_banded``) in O(n). The factor depends only on ``(n, lam)``
+Cholesky factorization (``scipy.linalg.cholesky_banded`` + the LAPACK
+``pbtrs`` backsubstitution) in O(n). The factor depends only on ``(n, lam)``
 — not on the data — so it is computed once per signal length and
 regularization value, cached in an LRU, and reused for every channel
 and every trial of that shape. All channels of a trial (and whole
 batches of same-length trials) are solved as a single multi-RHS
 backsubstitution.
 
-The previous generic ``scipy.sparse.linalg.spsolve`` implementation is
-kept verbatim as :func:`_estimate_trend_reference`; the parity suite in
-``tests/signal/test_detrend.py`` pins the banded path to it at
-``atol <= 1e-10``.
+The original generic ``scipy.sparse.linalg.spsolve`` implementation
+survives as a test oracle; ``tests/signal/test_detrend.py`` pins the
+banded path to it at ``atol <= 1e-10``.
 """
 
 from __future__ import annotations
@@ -34,9 +33,7 @@ from functools import lru_cache
 from typing import Any
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import spsolve
+from scipy.linalg import cholesky_banded
 
 from ..errors import ConfigurationError, SignalError
 
@@ -44,14 +41,6 @@ from ..errors import ConfigurationError, SignalError
 #: is a (3, n) float64 array, so even 4096-sample factors cost ~100 KiB;
 #: a typical experiment sweep touches only a handful of (n, lam) pairs.
 FACTOR_CACHE_SIZE = 64
-
-
-def _second_difference(n: int) -> sparse.csc_matrix:
-    """The (n-2) x n second-order difference matrix D2 of Eq. 3."""
-    if n < 3:
-        raise SignalError(f"detrending needs at least 3 samples, got {n}")
-    diagonals = [np.ones(n - 2), -2.0 * np.ones(n - 2), np.ones(n - 2)]
-    return sparse.diags(diagonals, offsets=[0, 1, 2], shape=(n - 2, n)).tocsc()
 
 
 def _validate_lam(lam: float) -> float:
@@ -117,24 +106,6 @@ def warm_detrend_factor(n: int, lam: float = 50.0) -> None:
     _banded_cholesky(int(n), lam)
 
 
-def _solve_trend(rows: np.ndarray, lam: float) -> np.ndarray:
-    """Solve ``A x = b`` for every row of ``rows`` in one banded call.
-
-    Args:
-        rows: right-hand sides, shape ``(n,)`` or ``(m, n)``.
-        lam: regularization parameter (validated by the caller).
-
-    Returns:
-        The solutions, same shape as ``rows``.
-    """
-    n = rows.shape[-1]
-    factor = _banded_cholesky(n, lam)
-    if rows.ndim == 1:
-        return cho_solve_banded((factor, False), rows, check_finite=False)
-    solved = cho_solve_banded((factor, False), rows.T, check_finite=False)
-    return np.ascontiguousarray(solved.T)
-
-
 # Lazy memo for the resolved LAPACK routine. The unlocked write below
 # is a benign race: every racing thread resolves and stores the
 # identical function object, and CPython publishes the reference
@@ -142,15 +113,23 @@ def _solve_trend(rows: np.ndarray, lam: float) -> np.ndarray:
 _pbtrs = None  # concurrency: thread-safe
 
 
-def _solve_trend_fast(rows: np.ndarray, lam: float) -> np.ndarray:
-    """Hot-path twin of :func:`_solve_trend` for 2-D float64 rows.
+def _solve_trend(rows: np.ndarray, lam: float) -> np.ndarray:
+    """Solve ``A x = b`` for every row of ``rows`` in one banded call.
 
-    Issues the exact LAPACK ``pbtrs`` backsubstitution that
-    ``cho_solve_banded`` wraps — same cached factor, same right-hand
-    -side memory — minus the wrapper's per-call validation, and returns
-    the transposed solution *view* instead of a contiguous copy (the
-    caller only reads it elementwise). Bit-identical values to
-    :func:`_solve_trend`; pinned by ``tests/signal/test_detrend.py``.
+    Issues the LAPACK ``pbtrs`` backsubstitution against the cached
+    factor directly — the routine ``cho_solve_banded`` wraps, minus the
+    wrapper's per-call validation — and returns the transposed solution
+    *view* rather than a contiguous copy (callers only read it
+    elementwise). Bit-identical to ``cho_solve_banded``; pinned by
+    ``tests/signal/test_detrend.py``.
+
+    Args:
+        rows: float64 right-hand sides, shape ``(n,)`` or ``(m, n)``;
+            never modified.
+        lam: regularization parameter (validated by the caller).
+
+    Returns:
+        The solutions, same shape as ``rows``.
     """
     global _pbtrs
     factor = _banded_cholesky(rows.shape[-1], lam)
@@ -182,24 +161,6 @@ def estimate_trend(samples: np.ndarray, lam: float = 50.0) -> np.ndarray:
     if samples.size < 3:
         raise SignalError(f"detrending needs at least 3 samples, got {samples.size}")
     return _solve_trend(samples, lam)
-
-
-def _estimate_trend_reference(samples: np.ndarray, lam: float = 50.0) -> np.ndarray:
-    """Pre-banded reference: generic sparse LU solve of the same system.
-
-    Kept verbatim from the original implementation as the parity
-    baseline for :func:`estimate_trend`; roughly 60x slower at paper
-    shapes because it rebuilds and refactors the sparse system on every
-    call.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 1:
-        raise SignalError(f"expected a 1-D signal, got shape {samples.shape}")
-    lam = _validate_lam(lam)
-    n = samples.size
-    d2 = _second_difference(n)
-    system = sparse.identity(n, format="csc") + (lam ** 2) * (d2.T @ d2)
-    return spsolve(system, samples)
 
 
 def smoothness_priors_detrend(samples: np.ndarray, lam: float = 50.0) -> np.ndarray:

@@ -7,10 +7,10 @@ decisions (and arrays) a serial run produces. A single flipped score
 bit fails these tests — scores are compared as exact float tuples, and
 cached arrays bitwise.
 
-``test_shared_hot_path_matches_serial`` is the regression test for the
-`HotAuthPipeline` sharing bug: before the scratch buffers moved to
-thread-local storage, two threads authenticating through one shared
-`P2Auth` overwrote each other's preprocessing buffers mid-probe and
+``test_shared_hot_path_matches_serial`` guards the single-probe request
+path against shared mutable buffers: an earlier fused engine kept
+preprocessing scratch on the instance, and two threads authenticating
+through one shared `P2Auth` overwrote each other's buffers mid-probe and
 returned corrupted scores.
 """
 
@@ -80,14 +80,14 @@ def run_threads(worker: Callable[[int], None], n_threads: int = THREADS) -> List
 
 
 class TestSharedHotPath:
-    """Concurrent ``authenticate_fast`` through one shared ``P2Auth``."""
+    """Concurrent ``authenticate`` through one shared ``P2Auth``."""
 
     def test_shared_hot_path_matches_serial(self, shared_auth, probes):
-        # Serial baseline first — also primes the lazy pipelines so the
-        # threads race on a fully built object, not on construction.
-        baseline = [
-            decision_key(shared_auth.authenticate_fast(t)) for t in probes
-        ]
+        # Serial baseline first — also primes the lazy pipeline so the
+        # threads race on a fully built, warmed object, not on
+        # construction.
+        shared_auth.warmup([t.recording.n_samples for t in probes])
+        baseline = [decision_key(shared_auth.authenticate(t)) for t in probes]
         mismatches: List[str] = []
         report_lock = threading.Lock()
 
@@ -95,7 +95,7 @@ class TestSharedHotPath:
             local: List[str] = []
             for round_no in range(ROUNDS):
                 for pi, trial in enumerate(probes):
-                    got = decision_key(shared_auth.authenticate_fast(trial))
+                    got = decision_key(shared_auth.authenticate(trial))
                     if got != baseline[pi]:
                         local.append(
                             f"thread {idx} round {round_no} probe {pi}: "
@@ -108,22 +108,24 @@ class TestSharedHotPath:
         errors = run_threads(worker)
         assert not errors, errors
         assert not mismatches, (
-            "concurrent authenticate_fast diverged from serial:\n"
+            "concurrent authenticate diverged from serial:\n"
             + "\n".join(mismatches[:6])
         )
 
     def test_shared_staged_path_matches_serial(self, shared_auth, probes):
-        # The staged engine allocates per-call, so it was already safe;
-        # keep it pinned that way.
+        # The batch path runs the same stage chain over stacked trials;
+        # concurrent batches must match the serial per-probe decisions.
         baseline = [decision_key(shared_auth.authenticate(t)) for t in probes]
         mismatches: List[str] = []
 
         def worker(idx: int) -> None:
-            for trial, expected in zip(probes, baseline):
-                for _ in range(5):
-                    got = decision_key(shared_auth.authenticate(trial))
-                    if got != expected:
-                        mismatches.append(f"thread {idx}: {got!r}")
+            for _ in range(5):
+                got = [
+                    decision_key(d)
+                    for d in shared_auth.authenticate_many(probes)
+                ]
+                if got != baseline:
+                    mismatches.append(f"thread {idx}: {got!r}")
 
         errors = run_threads(worker)
         assert not errors, errors
@@ -169,7 +171,7 @@ class TestRegistryThrash:
         }
         baseline = {
             (uid, pi): decision_key(
-                registry.get(uid).authenticate_fast(trial)
+                registry.get(uid).authenticate(trial)
             )
             for uid in users
             for pi, trial in enumerate(user_probes[uid])
@@ -184,7 +186,7 @@ class TestRegistryThrash:
                 other = users[(idx + round_no + 1) % 2]
                 for pi, trial in enumerate(user_probes[uid]):
                     got = decision_key(
-                        registry.get(uid).authenticate_fast(trial)
+                        registry.get(uid).authenticate(trial)
                     )
                     if got != baseline[(uid, pi)]:
                         local.append(

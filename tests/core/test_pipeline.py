@@ -124,11 +124,12 @@ class TestPreprocessTrialsBatch:
 
     def test_matches_reference_path(self, mixed_trials, pipeline_config):
         """Against the pre-banded per-channel sparse-LU reference."""
-        from repro.core.pipeline import _preprocess_trial_reference, preprocess_trials
+        from repro.core.pipeline import preprocess_trials
+        from tests.oracles import preprocess_trial_reference
 
         batched = preprocess_trials(mixed_trials, pipeline_config)
         for got, trial in zip(batched, mixed_trials):
-            ref = _preprocess_trial_reference(trial, pipeline_config)
+            ref = preprocess_trial_reference(trial, pipeline_config)
             assert got.keystroke_indices == ref.keystroke_indices
             assert got.keystroke_detected == ref.keystroke_detected
             np.testing.assert_allclose(

@@ -21,6 +21,7 @@ from repro.features.minirocket import (
     MiniRocket,
     _golden_quantiles,
 )
+from tests.oracles import transform_reference
 
 ENGINES = ["vectorized"] + (["c"] if mr._ckernel.available() else [])
 
@@ -42,14 +43,14 @@ class TestEngineParity:
         x = _data(12, 1, 90)
         fast, ref = _pair(engine, num_features=840)
         got = fast.fit(x).transform(x)
-        expected = ref.fit(x)._transform_reference(x)
+        expected = transform_reference(ref.fit(x), x)
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
     def test_multivariate(self, engine):
         x = _data(10, 4, 90, seed=3)
         fast, ref = _pair(engine, num_features=1996)
         got = fast.fit(x).transform(x)
-        expected = ref.fit(x)._transform_reference(x)
+        expected = transform_reference(ref.fit(x), x)
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
     @pytest.mark.parametrize("length", [17, 33, 91, 127])
@@ -57,14 +58,14 @@ class TestEngineParity:
         x = _data(6, 2, length, seed=length)
         fast, ref = _pair(engine, num_features=504)
         got = fast.fit(x).transform(x)
-        expected = ref.fit(x)._transform_reference(x)
+        expected = transform_reference(ref.fit(x), x)
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
     def test_single_dilation_per_kernel(self, engine):
         x = _data(5, 1, 60, seed=9)
         fast, ref = _pair(engine, num_features=420, max_dilations_per_kernel=1)
         got = fast.fit(x).transform(x)
-        expected = ref.fit(x)._transform_reference(x)
+        expected = transform_reference(ref.fit(x), x)
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
     def test_batch_size_invariance(self, engine):
@@ -91,7 +92,7 @@ class TestEngineParity:
         x = _data(n, channels, length, seed=seed)
         fast, ref = _pair(engine, num_features=336)
         got = fast.fit(x).transform(x)
-        expected = ref.fit(x)._transform_reference(x)
+        expected = transform_reference(ref.fit(x), x)
         np.testing.assert_allclose(got, expected, rtol=0, atol=0)
 
 
@@ -169,5 +170,5 @@ class TestEngineSelection:
         x = _data(4, 1, 50)
         rocket = MiniRocket(num_features=336, engine="reference")
         out = rocket.fit(x).transform(x)
-        expected = rocket._transform_reference(x)
+        expected = transform_reference(rocket, x)
         np.testing.assert_allclose(out, expected, rtol=0, atol=0)

@@ -134,6 +134,38 @@ class TestErrorMapping:
         )
         assert status == 404 and body["error"]["code"] == "unknown_user"
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda t: t["recording"].__setitem__("fs", float("nan")),
+            lambda t: t["recording"].__setitem__("start_time", float("inf")),
+            lambda t: t["events"][1].__setitem__("reported_time", float("nan")),
+            lambda t: t["events"][0].__setitem__("true_time", float("-inf")),
+            lambda t: t["recording"].__setitem__("fs", 10 ** 400),
+        ],
+        ids=["fs-nan", "start-inf", "reported-nan", "true-neg-inf", "fs-overflow"],
+    )
+    def test_non_finite_trial_numbers_are_400(self, app, probes, mutate):
+        # json.dumps writes NaN/Infinity literals and json.loads reads
+        # them back: the wire must refuse them with a typed 400 instead
+        # of letting them crash the signal kernels into a 500.
+        trial = encode_trial(probes["legit"][0])
+        mutate(trial)
+        nonce = make_nonce()
+        status, body, _ = post_json(
+            app,
+            "/v1/auth",
+            {
+                "user_id": "u0",
+                "nonce": nonce,
+                "proof": pin_proof(PIN, "u0", nonce),
+                "trial": trial,
+            },
+        )
+        assert status == 400, body
+        assert body["error"]["code"] == "protocol_error"
+        assert "finite" in body["error"]["message"]
+
     def test_replayed_nonce_is_403(self, app, probes):
         nonce = make_nonce()
         req = {

@@ -6,6 +6,7 @@ import pytest
 from repro.config import PipelineConfig
 from repro.errors import ConfigurationError, SignalError
 from repro.signal import calibrate_keystroke_index, calibrate_trial_indices
+from tests.oracles import calibrate_trial_indices_reference
 
 
 def _bump_signal(n=600, center=300, amplitude=5.0, width=0.05, fs=100.0):
@@ -119,14 +120,10 @@ def _events(times):
 
 
 class TestFastTrialCalibration:
-    """calibrate_trial_indices_fast must be result-identical to the
-    reference implementation — same indices, same errors."""
+    """calibrate_trial_indices must be result-identical to the
+    scipy-savgol oracle — same indices, same errors."""
 
     def test_randomized_parity(self):
-        from repro.signal.calibration import (
-            calibrate_trial_indices,
-            calibrate_trial_indices_fast,
-        )
         from repro.signal.filters import clear_savgol_cache
 
         rng = np.random.default_rng(7)
@@ -153,37 +150,29 @@ class TestFastTrialCalibration:
             # (the raw index is clipped into the signal by both paths).
             times = rng.uniform(-0.2, n / rec.fs + 0.2, size=k)
             events = _events(times)
-            slow = calibrate_trial_indices(rec, events, config, reference)
-            fast = calibrate_trial_indices_fast(rec, events, config, reference)
+            slow = calibrate_trial_indices_reference(rec, events, config, reference)
+            fast = calibrate_trial_indices(rec, events, config, reference)
             assert fast == slow, (
                 f"case {case}: n={n} window={window} sg={sg_window}"
             )
 
     def test_empty_events(self, pipeline_config):
-        from repro.signal.calibration import (
-            calibrate_trial_indices,
-            calibrate_trial_indices_fast,
-        )
 
         rec = _recording(120)
         reference = np.linspace(0.0, 1.0, 120)
-        assert calibrate_trial_indices_fast(
+        assert calibrate_trial_indices(
             rec, [], pipeline_config, reference
-        ) == calibrate_trial_indices(rec, [], pipeline_config, reference)
+        ) == calibrate_trial_indices_reference(rec, [], pipeline_config, reference)
 
     def test_error_parity(self, pipeline_config):
-        from repro.signal.calibration import (
-            calibrate_trial_indices,
-            calibrate_trial_indices_fast,
-        )
 
         rec = _recording(100)
         events = _events([0.5])
         bad_ref = np.zeros(10)
         with pytest.raises(SignalError) as slow_err:
-            calibrate_trial_indices(rec, events, pipeline_config, bad_ref)
+            calibrate_trial_indices_reference(rec, events, pipeline_config, bad_ref)
         with pytest.raises(SignalError) as fast_err:
-            calibrate_trial_indices_fast(rec, events, pipeline_config, bad_ref)
+            calibrate_trial_indices(rec, events, pipeline_config, bad_ref)
         assert str(fast_err.value) == str(slow_err.value)
 
         # PipelineConfig rejects calibration_window < 2 at construction,
@@ -195,7 +184,7 @@ class TestFastTrialCalibration:
         )()
         good_ref = np.zeros(100)
         with pytest.raises(ConfigurationError) as slow_cfg:
-            calibrate_trial_indices(rec, events, tiny, good_ref)
+            calibrate_trial_indices_reference(rec, events, tiny, good_ref)
         with pytest.raises(ConfigurationError) as fast_cfg:
-            calibrate_trial_indices_fast(rec, events, tiny, good_ref)
+            calibrate_trial_indices(rec, events, tiny, good_ref)
         assert str(fast_cfg.value) == str(slow_cfg.value)

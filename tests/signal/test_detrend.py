@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SignalError
+from tests.oracles import estimate_trend_reference, solve_trend_reference
 from repro.signal.detrend import (
-    _estimate_trend_reference,
     clear_detrend_cache,
     detrend_cache_info,
     estimate_trend,
@@ -139,21 +139,21 @@ class TestBandedParity:
         x = _ppg_like(n, seed=n)
         for lam in self.LAMBDAS:
             banded = estimate_trend(x, lam=lam)
-            reference = _estimate_trend_reference(x, lam=lam)
+            reference = estimate_trend_reference(x, lam=lam)
             np.testing.assert_allclose(banded, reference, rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("lam", LAMBDAS)
     def test_detrend_matches_reference(self, lam):
         x = _ppg_like(510, seed=3)
         banded = smoothness_priors_detrend(x, lam=lam)
-        reference = x - _estimate_trend_reference(x, lam=lam)
+        reference = x - estimate_trend_reference(x, lam=lam)
         np.testing.assert_allclose(banded, reference, rtol=0, atol=1e-10)
 
     def test_2d_matches_per_row_reference(self):
         rows = np.vstack([_ppg_like(257, seed=s) for s in range(4)])
         banded = smoothness_priors_detrend(rows, lam=50.0)
         reference = rows - np.vstack(
-            [_estimate_trend_reference(row, lam=50.0) for row in rows]
+            [estimate_trend_reference(row, lam=50.0) for row in rows]
         )
         np.testing.assert_allclose(banded, reference, rtol=0, atol=1e-10)
 
@@ -223,25 +223,37 @@ class TestFactorizationCache:
 
 
 class TestSolveTrendFast:
-    """The LAPACK-direct solver must be bit-identical to the
-    cho_solve_banded reference path (promised by its docstring)."""
+    """The LAPACK-direct ``pbtrs`` solver must be bit-identical to the
+    ``cho_solve_banded`` oracle it replaced."""
 
     def test_bit_identical_on_2d_rows(self):
-        from repro.signal.detrend import _solve_trend, _solve_trend_fast
+        from repro.signal.detrend import _solve_trend
 
         rng = np.random.default_rng(11)
         for n, m, lam in ((32, 1, 10.0), (257, 4, 50.0), (600, 3, 1e4)):
             rows = np.ascontiguousarray(rng.standard_normal((m, n)))
-            fast = _solve_trend_fast(rows, lam)
-            slow = _solve_trend(rows, lam)
+            fast = _solve_trend(rows, lam)
+            slow = solve_trend_reference(rows, lam)
             assert fast.shape == slow.shape
             assert np.array_equal(np.asarray(fast), slow)
 
+    def test_bit_identical_on_1d_rows(self):
+        from repro.signal.detrend import _solve_trend
+
+        rng = np.random.default_rng(13)
+        for n in (3, 4, 575):
+            row = rng.standard_normal(n)
+            fast = _solve_trend(row, 50.0)
+            assert fast.shape == (n,)
+            np.testing.assert_array_equal(
+                fast, solve_trend_reference(row, 50.0)
+            )
+
     def test_input_rows_not_mutated(self):
-        from repro.signal.detrend import _solve_trend_fast
+        from repro.signal.detrend import _solve_trend
 
         rng = np.random.default_rng(12)
         rows = rng.standard_normal((2, 128))
         before = rows.copy()
-        _solve_trend_fast(rows, 10.0)
+        _solve_trend(rows, 10.0)
         assert np.array_equal(rows, before)

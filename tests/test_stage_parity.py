@@ -15,7 +15,10 @@ change a single bit of its behavior. This suite pins that contract:
 - a table-driven experiment sweep row must equal the hand-rolled
   pre-refactor row construction;
 - regenerated robustness grid rows must match the committed
-  ``ROBUSTNESS.json``.
+  ``ROBUSTNESS.json``;
+- ``authenticate`` (fast kernels) must equal the same stage chain run on
+  the oracle kernels of ``tests/oracles.py``, and ``warmup`` must stay
+  idempotent and invisible in results.
 """
 
 import json
@@ -41,6 +44,7 @@ from repro.core.enrollment import (
 from repro.data import StudyData, ThirdPartyStore
 from repro.errors import AuthenticationError
 from repro.types import InputCase
+from tests.oracles import authenticate_reference
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PIN = PAPER_PINS[0]
@@ -413,50 +417,51 @@ class TestRobustnessParity:
 
 
 # ---------------------------------------------------------------------------
-# 6. Fused hot path vs the staged engine
+# 6. Fast kernels inside the engine vs oracle-kernel preprocessing
 # ---------------------------------------------------------------------------
 
 
 class TestFusedParity:
-    """``authenticate_fast`` must never differ from ``authenticate``.
+    """``authenticate`` must never differ from the oracle-kernel engine.
 
-    The fused pipeline skips every intermediate artifact and reuses
-    preallocated scratch buffers, so these tests run the same probes
-    through both engines and compare field-for-field at rtol=0/atol=0.
+    The engine's preprocessing runs the fused kernels (selection-network
+    median, cached Savitzky-Golay FIR calibration, direct ``pbtrs``
+    detrend solve). ``tests.oracles.authenticate_reference`` runs the
+    same stage chain with the slow reference kernels in their place;
+    these tests compare the two field-for-field at rtol=0/atol=0.
     """
 
     @pytest.mark.parametrize("kind", ["legit", "two_handed", "attack"])
     def test_all_probe_kinds(self, auth, probes, kind):
         for trial in probes[kind]:
             assert_decisions_identical(
-                auth.authenticate_fast(trial), auth.authenticate(trial)
+                auth.authenticate(trial), authenticate_reference(auth, trial)
             )
 
     @pytest.mark.parametrize("kind", ["legit", "attack"])
     def test_privacy_boost_route(self, boost_auth, probes, kind):
         for trial in probes[kind]:
             assert_decisions_identical(
-                boost_auth.authenticate_fast(trial),
                 boost_auth.authenticate(trial),
+                authenticate_reference(boost_auth, trial),
             )
 
     def test_wrong_pin_short_circuits(self, auth, probes):
         trial = probes["legit"][0]
-        fast = auth.authenticate_fast(trial, claimed_pin="0000")
+        fast = auth.authenticate(trial, claimed_pin="0000")
         assert_decisions_identical(
-            fast, auth.authenticate(trial, claimed_pin="0000")
+            fast, authenticate_reference(auth, trial, claimed_pin="0000")
         )
         assert fast.reason == "PIN verification failed"
 
     def test_scratch_reuse_does_not_drift(self, auth, probes):
-        # Repeated fused calls share one scratch allocation; a stale or
-        # partially overwritten buffer would show up as a changed score.
-        staged = [auth.authenticate(t) for t in probes["legit"]]
+        # Repeated calls share process-wide caches (factorizations, SG
+        # coefficients, kernel plans); a cache entry mutated by a call
+        # would show up as a changed score on a later one.
+        reference = [authenticate_reference(auth, t) for t in probes["legit"]]
         for _ in range(3):
-            for trial, reference in zip(probes["legit"], staged):
-                assert_decisions_identical(
-                    auth.authenticate_fast(trial), reference
-                )
+            for trial, expected in zip(probes["legit"], reference):
+                assert_decisions_identical(auth.authenticate(trial), expected)
 
     def test_post_degradation_repaired_probe(self, data, third_party):
         import dataclasses
@@ -476,9 +481,9 @@ class TestFusedParity:
         damaged = dataclasses.replace(
             probe, recording=probe.recording.with_samples(samples)
         )
-        staged = a.authenticate(damaged)
-        assert staged.degradation, "the repair ladder never ran"
-        assert_decisions_identical(a.authenticate_fast(damaged), staged)
+        decision = a.authenticate(damaged)
+        assert decision.degradation, "the repair ladder never ran"
+        assert_decisions_identical(decision, authenticate_reference(a, damaged))
 
 
 class TestWarmup:
@@ -492,14 +497,15 @@ class TestWarmup:
         n = probes["legit"][0].recording.n_samples
         assert warmed.warmup((n,)) is True
         assert warmed.warmup((n,)) is False  # idempotence contract
+        assert warmed.warmup((n + 1,)) is True  # a new length is new work
         cold = P2Auth(
             pin=PIN, options=EnrollmentOptions(num_features=FEATURES)
         )
         cold.enroll(enroll_trials, third_party)
         for trial in probes["legit"] + probes["attack"]:
             assert_decisions_identical(
-                warmed.authenticate_fast(trial),
-                cold.authenticate_fast(trial),
+                warmed.authenticate(trial),
+                cold.authenticate(trial),
             )
 
     def test_warmup_before_enrollment_is_safe(self):

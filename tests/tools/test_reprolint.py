@@ -161,19 +161,20 @@ class TestRuleFixtures:
 
     def test_rl011_sees_hostile_classes_from_other_files(self):
         # The project index carries thread-hostile declarations across
-        # modules: _Scratch is declared hostile in repro.core.hotpath,
-        # and an escape in a *different* file must still fire.
+        # modules: StreamingKeystrokeDetector is declared hostile in
+        # repro.core.streaming, and an escape in a *different* file must
+        # still fire.
         from tools.reprolint.concurrency import build_project_index
         from tools.reprolint import lint_source
 
         source = (
-            "def leak(registry, make_scratch):\n"
-            "    registry['x'] = _Scratch((4, 100), 840)\n"
+            "def leak(registry):\n"
+            "    registry['x'] = StreamingKeystrokeDetector(100.0)\n"
         )
         index = build_project_index(
             iter_python_files([REPO_ROOT / "src" / "repro" / "core"])
         )
-        assert "_Scratch" in index.thread_hostile_classes
+        assert "StreamingKeystrokeDetector" in index.thread_hostile_classes
         result = lint_source(source, path="src/repro/other.py", project=index)
         assert [f.rule_id for f in result.findings] == ["RL011"]
         # Without the index the same source is silent: the class is
