@@ -10,7 +10,7 @@ authentication through the staged engine (`stages`), the
 """
 
 from .attacks import EmulatingAttacker, RandomAttacker
-from .authentication import AuthDecision, authenticate_preprocessed
+from .authentication import AuthDecision
 from .authenticator import P2Auth
 from .backends import PackedArenaBackend, ShardedPackedBackend
 from .degradation import DegradationEvent, DegradationPolicy, apply_policy
@@ -123,7 +123,6 @@ __all__ = [
     "WaveformModel",
     "WearStatus",
     "apply_policy",
-    "authenticate_preprocessed",
     "backend_exists",
     "build_negative_bank",
     "check_enrollment_quality",

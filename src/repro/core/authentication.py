@@ -14,41 +14,14 @@ case decides which model runs:
   the same 2-of-3 style integration, no PIN check.
 
 The actual sequence lives in the staged engine
-(:mod:`repro.core.stages`); this module keeps the historical functional
-surface — :class:`AuthDecision`, :func:`_integrate`, and
-:func:`authenticate_preprocessed` — as thin delegations so existing
-imports and call sites are untouched.
+(:mod:`repro.core.stages`); this module keeps the historical import
+surface — :class:`AuthDecision` and :func:`_integrate` — so existing
+imports are untouched. Authenticate a preprocessed trial with
+``AuthPipeline(models, no_pin_mode=...).run_preprocessed(...)``.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from .stages import AuthDecision, _integrate
 
-from .models import EnrolledModels
-from .pipeline import PreprocessedTrial
-from .stages import AuthDecision, AuthPipeline, Preprocessed, _integrate
-
-__all__ = ["AuthDecision", "authenticate_preprocessed", "_integrate"]
-
-
-def authenticate_preprocessed(
-    models: EnrolledModels,
-    preprocessed: PreprocessedTrial,
-    pin_ok: Optional[bool],
-    no_pin_mode: bool = False,
-) -> AuthDecision:
-    """Authenticate a preprocessed trial against enrolled models.
-
-    Args:
-        models: the enrolled user's models.
-        preprocessed: the probe trial after preprocessing.
-        pin_ok: PIN verification outcome (``None`` in NO-PIN mode).
-        no_pin_mode: authenticate by keystroke pattern alone.
-
-    Returns:
-        The authentication decision.
-    """
-    pipeline = AuthPipeline(models, no_pin_mode=no_pin_mode)
-    return pipeline.run_preprocessed(
-        [Preprocessed(trial=preprocessed, pin_ok=pin_ok)]
-    )[0]
+__all__ = ["AuthDecision", "_integrate"]

@@ -23,7 +23,11 @@ Both blobs share one self-describing layout::
 Array offsets in the header are relative to the payload base, so a
 record can be decoded in place from any ``bytes``-like buffer — in
 particular an ``mmap`` slice, where :func:`unpack_record` costs one
-JSON parse plus zero-copy ``np.frombuffer`` views.
+JSON parse plus zero-copy ``np.frombuffer`` views. The per-user vectors
+stay views in their stored dtype for the model's whole life: a float32
+user holds half the bytes of a float64 one, and NumPy widens each
+element to float64 exactly inside every scaler and ridge operation, so
+a view scores bit-identically to a widened float64 copy of itself.
 
 Quantization contract (verified by ``tests/core/test_packing.py`` and
 the registry benchmark's parity section): float64 records reproduce
@@ -285,12 +289,6 @@ def record_extractor_refs(buf: Buffer, base: int = 0) -> Tuple[str, ...]:
     )
 
 
-def _as_float64(array: np.ndarray) -> np.ndarray:
-    # Already-float64 views stay zero-copy; quantized vectors widen back
-    # so the runtime math path is dtype-identical to a fresh enrollment.
-    return np.asarray(array, dtype=np.float64)
-
-
 def unpack_record(
     buf: Buffer,
     resolve_extractor: Callable[[str], MiniRocket],
@@ -300,7 +298,9 @@ def unpack_record(
 
     Args:
         buf: buffer holding a ``P2PK`` record at ``base`` — ``bytes``
-            or an ``mmap``; arrays are read via zero-copy views.
+            or an ``mmap``. The scaler and ridge vectors are zero-copy
+            read-only views into it, kept in the stored dtype, so the
+            rebuilt models keep ``buf`` alive.
         resolve_extractor: fingerprint → fitted shared extractor. The
             callable owns caching, so a warm pool makes unpacking a
             user O(per-user vectors) regardless of extractor size.
@@ -320,10 +320,10 @@ def unpack_record(
         )
         model._rocket = resolve_extractor(m["extractor"])
         scaler = StandardScaler()
-        scaler._mean = _as_float64(arrays[f"{slot}/scaler_mean"])
-        scaler._scale = _as_float64(arrays[f"{slot}/scaler_scale"])
+        scaler._mean = arrays[f"{slot}/scaler_mean"]
+        scaler._scale = arrays[f"{slot}/scaler_scale"]
         clf = RidgeClassifier(alphas=m["alphas"])
-        clf.coef_ = _as_float64(arrays[f"{slot}/coef"])
+        clf.coef_ = arrays[f"{slot}/coef"]
         clf.intercept_ = float(m["intercept"])
         clf.alpha_ = float(m["alpha"])
         model._scaler = scaler

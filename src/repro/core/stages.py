@@ -407,8 +407,10 @@ class AuthPipeline:
     def warmup(self, signal_lengths: Sequence[int] = ()) -> bool:
         """Pay every one-off cost ahead of the first ``run`` call.
 
-        Compiles/loads the MiniRocket C kernel, marshals each enrolled
-        extractor's transform plan (one throwaway transform each),
+        Compiles/loads the MiniRocket C kernel, warms each enrolled
+        extractor (:meth:`MiniRocket.warm` marshals its transform plan
+        with one throwaway transform, once per extractor instance, so
+        extractors shared with an already-warm user cost nothing),
         primes the Savitzky-Golay coefficient cache, and — for each
         length in ``signal_lengths`` — the banded-Cholesky detrend
         factorization. Nothing per-thread or per-request is allocated.
@@ -446,7 +448,6 @@ class AuthPipeline:
             warm_engine()
             warm_savgol(self.config.sg_window, self.config.sg_polyorder)
             models = self.models
-            warmed = set()
             for model in (
                 models.full_model,
                 models.fused_model,
@@ -454,9 +455,7 @@ class AuthPipeline:
             ):
                 rocket = getattr(model, "_rocket", None)
                 if rocket is not None and rocket._fitted:
-                    if id(rocket) not in warmed:
-                        rocket.warm()
-                        warmed.add(id(rocket))
+                    rocket.warm()
         for length in new_lengths:
             warm_detrend_factor(length, self.config.detrend_lambda)
         return need_engine or bool(new_lengths)

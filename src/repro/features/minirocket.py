@@ -331,6 +331,9 @@ class MiniRocket:
         # Pre-marshalled compiled-kernel arguments; built lazily on the
         # first C-engine transform and invalidated by fit().
         self._plan: Optional[_ckernel.TransformPlan] = None
+        # Set by warm() once its throwaway transform succeeded; cleared
+        # by fit(). Published like _plan: a racing double warm is benign.
+        self._warmed = False
 
     @staticmethod
     def _as_3d(x: np.ndarray) -> np.ndarray:
@@ -439,6 +442,7 @@ class MiniRocket:
         self._n_channels = channels
         self._input_length = length
         self._plan = None
+        self._warmed = False
         self._fitted = True
         return self
 
@@ -537,13 +541,20 @@ class MiniRocket:
         needed), marshals the prepared argument plan, and runs one
         throwaway transform at the fitted shape so every lazy path the
         first real call would hit is already primed. Results are
-        unaffected — warming is observable only as latency. Idempotent
-        and cheap after the first call (one small transform).
+        unaffected — warming is observable only as latency.
+
+        Runs the throwaway transform once per extractor instance: a
+        shared extractor that many users resolve from one packed-backend
+        pool is warmed by the first of them, and every later call
+        returns at once. :meth:`fit` makes the extractor cold again, and
+        :meth:`from_state` always builds a cold one.
         """
         if not self._fitted:
             raise NotFittedError("MiniRocket.fit has not been called")
-        x = np.zeros((1, int(self._n_channels), int(self._input_length)))
-        self.transform(x)
+        if not self._warmed:
+            x = np.zeros((1, int(self._n_channels), int(self._input_length)))
+            self.transform(x)
+            self._warmed = True
         return self
 
     def transform(

@@ -38,7 +38,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import ProtocolError
+from ..errors import ConfigurationError, ProtocolError
 from ..types import (
     ChannelInfo,
     Hand,
@@ -194,6 +194,26 @@ def _get_finite(payload: Mapping[str, Any], name: str, ctx: str) -> float:
     return number
 
 
+def _get_event_time(
+    payload: Mapping[str, Any], name: str, ctx: str, recording: PPGRecording
+) -> float:
+    """A required keystroke time that lands on a sample of ``recording``.
+
+    Calibration would otherwise clamp an outside time to the signal
+    edge and score a keystroke that never happened there.
+    """
+    time = _get_finite(payload, name, ctx)
+    try:
+        recording.sample_index(time)
+    except ConfigurationError as err:
+        raise ProtocolError(f"{ctx}: field {name!r}: {err}") from None
+    except OverflowError:  # finite, but too far out to index
+        raise ProtocolError(
+            f"{ctx}: field {name!r}: time {time!r} outside recording"
+        ) from None
+    return time
+
+
 # ---------------------------------------------------------------------------
 # Trial encoding: keystroke timing + PPG samples, no digit labels
 # ---------------------------------------------------------------------------
@@ -298,7 +318,8 @@ def decode_trial(payload: Mapping[str, Any], pin: str) -> PinEntryTrial:
 
     Raises:
         ProtocolError: on any structural mismatch, including an event
-            count that disagrees with the PIN length.
+            count that disagrees with the PIN length or a keystroke time
+            outside the recording.
     """
     ctx = "trial"
     trial = _require_mapping(payload, ctx)
@@ -327,8 +348,10 @@ def decode_trial(payload: Mapping[str, Any], pin: str) -> PinEntryTrial:
         events.append(
             KeystrokeEvent(
                 key=digit,
-                true_time=_get_finite(ev, "true_time", ectx),
-                reported_time=_get_finite(ev, "reported_time", ectx),
+                true_time=_get_event_time(ev, "true_time", ectx, recording),
+                reported_time=_get_event_time(
+                    ev, "reported_time", ectx, recording
+                ),
                 hand=hand,
             )
         )

@@ -5,12 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import authenticate_preprocessed, preprocess_trial
+from repro.core import AuthPipeline, Preprocessed, preprocess_trial
 from repro.core.authentication import _integrate
 from repro.errors import AuthenticationError
 from repro.types import InputCase
 
 from .test_enrollment import PIN  # reuse module fixtures' constants
+
+
+def _run_preprocessed(models, pre, pin_ok, no_pin_mode=False):
+    pipeline = AuthPipeline(models, no_pin_mode=no_pin_mode)
+    return pipeline.run_preprocessed(
+        [Preprocessed(trial=pre, pin_ok=pin_ok)]
+    )[0]
 
 
 class TestIntegrationRule:
@@ -74,9 +81,7 @@ class TestAuthenticationFlow:
         pre = dataclasses.replace(
             pre, keystroke_detected=(True, False, False, False)
         )
-        decision = authenticate_preprocessed(
-            enrolled_auth.models, pre, pin_ok=True
-        )
+        decision = _run_preprocessed(enrolled_auth.models, pre, pin_ok=True)
         assert not decision.accepted
         assert decision.input_case is InputCase.REJECT
 
@@ -86,7 +91,7 @@ class TestAuthenticationFlow:
         """A detected keystroke on a never-enrolled key cannot pass."""
         trial = study_data.trials(0, "5094", "one_handed", 1)[0]
         pre = preprocess_trial(trial, pipeline_config)
-        decision = authenticate_preprocessed(
+        decision = _run_preprocessed(
             enrolled_auth.models, pre, pin_ok=True, no_pin_mode=True
         )
         assert not any(
@@ -101,7 +106,7 @@ class TestAuthenticationFlow:
         trial = study_data.trials(0, PIN, "one_handed", 1)[0]
         pre = preprocess_trial(trial, pipeline_config)
         with pytest.raises(AuthenticationError):
-            authenticate_preprocessed(enrolled_auth.models, pre, pin_ok=None)
+            _run_preprocessed(enrolled_auth.models, pre, pin_ok=None)
 
     def test_privacy_boost_path(self, enrolled_auth_boost, study_data):
         trial = study_data.trials(0, PIN, "one_handed", 8)[7]

@@ -6,6 +6,9 @@ features) plus the process-wide SG and detrend caches. Request threads
 may allocate only per call: nothing per user or per thread survives an
 ``authenticate`` call. A per-thread feature-row cache (two rows of 9996
 float64 per model, ~0.75 MiB per user per thread) breaks both bounds.
+Loading a packed user keeps its record's bytes and small Python
+objects, never float64 copies of the stored per-user vectors (another
+~1.2 MiB per float32 user).
 """
 
 from __future__ import annotations
@@ -16,7 +19,13 @@ import tracemalloc
 import pytest
 
 from repro.config import PAPER_PINS
-from repro.core import EnrollmentOptions, P2Auth
+from repro.core import (
+    EnrollmentOptions,
+    P2Auth,
+    PackedArenaBackend,
+    ShardedPackedBackend,
+    pack_authenticator,
+)
 from repro.data import StudyData, ThirdPartyStore
 from repro.features import warm_engine
 
@@ -28,6 +37,10 @@ FEATURES = 9996
 
 #: Warmup budget per user: the transform plans and nothing else.
 WARMUP_BUDGET = 0.2 * MIB
+
+#: What loading a packed user may keep beyond its record's bytes: the
+#: decoded JSON header, the model and authenticator objects.
+LOAD_SLACK = 64 * 1024
 
 #: What an idle second request thread may still hold after its call:
 #: interpreter bookkeeping, far below one 9996-feature row (78 KiB).
@@ -92,4 +105,21 @@ def test_second_thread_keeps_no_per_user_allocation(world):
     assert results == [expected]
     assert grown <= THREAD_RESIDUE_BUDGET, (
         f"a live request thread kept {grown / 1024:.1f} KiB"
+    )
+
+
+@pytest.mark.parametrize(
+    "backend_cls", [ShardedPackedBackend, PackedArenaBackend], ids=["sharded", "arena"]
+)
+def test_packed_load_keeps_no_float64_copies(world, backend_cls, tmp_path):
+    auth, _probe = world
+    backend = backend_cls(tmp_path, dtype="float32")
+    backend.store("first", auth)
+    backend.store("second", auth)
+    backend.load("first")  # decodes the shared extractors into the pool
+    record = pack_authenticator(auth, "float32").record_nbytes
+    loaded = []
+    grown = _traced_growth(lambda: loaded.append(backend.load("second")))
+    assert grown <= record + LOAD_SLACK, (
+        f"loading a {record / MIB:.2f} MiB record kept {grown / MIB:.2f} MiB"
     )

@@ -166,6 +166,41 @@ class TestErrorMapping:
         assert body["error"]["code"] == "protocol_error"
         assert "finite" in body["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "name, offset_s",
+        [
+            ("reported_time", -0.5),
+            ("reported_time", 200.0),
+            ("true_time", -200.0),
+            ("true_time", 0.5),
+        ],
+        ids=["reported-before", "reported-far-after", "true-far-before", "true-after"],
+    )
+    def test_keystroke_outside_recording_is_400(
+        self, app, probes, name, offset_s
+    ):
+        # Calibration would clamp such a keystroke to the signal edge
+        # and score it there; the wire refuses it instead.
+        trial = encode_trial(probes["legit"][0])
+        rec = trial["recording"]
+        end = rec["start_time"] + rec["shape"][1] / rec["fs"]
+        edge = rec["start_time"] if offset_s < 0 else end
+        trial["events"][2][name] = edge + offset_s
+        nonce = make_nonce()
+        status, body, _ = post_json(
+            app,
+            "/v1/auth",
+            {
+                "user_id": "u0",
+                "nonce": nonce,
+                "proof": pin_proof(PIN, "u0", nonce),
+                "trial": trial,
+            },
+        )
+        assert status == 400, body
+        assert body["error"]["code"] == "protocol_error"
+        assert "outside recording" in body["error"]["message"]
+
     def test_replayed_nonce_is_403(self, app, probes):
         nonce = make_nonce()
         req = {

@@ -140,6 +140,22 @@ class TestTrialRoundTrip:
         with pytest.raises(ProtocolError, match="recording"):
             decode_trial(wire, one_trial.pin)
 
+    @pytest.mark.parametrize("name", ["true_time", "reported_time"])
+    def test_event_times_must_land_on_a_sample(self, one_trial, name):
+        wire = encode_trial(one_trial)
+        rec = one_trial.recording
+        first = rec.start_time
+        last = rec.start_time + (rec.n_samples - 1) / rec.fs
+        for time in (first, last):
+            wire["events"][0][name] = time
+            assert getattr(
+                decode_trial(wire, one_trial.pin).events[0], name
+            ) == time
+        for time in (first - 1 / rec.fs, last + 1 / rec.fs, 1e308):
+            wire["events"][0][name] = time
+            with pytest.raises(ProtocolError, match="outside recording"):
+                decode_trial(wire, one_trial.pin)
+
 
 class TestRequestParsers:
     def test_enroll_begin_strict(self):
