@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import stats as spstats
 
 from ..errors import NotFittedError, SignalError
 from .dtw import dtw_distance
@@ -50,6 +49,10 @@ def manual_feature_names(n_channels: int) -> List[str]:
 
 def _channel_stats(x: np.ndarray) -> List[float]:
     """Statistical descriptors of one channel (all but the DTW column)."""
+    # Imported on call: only this baseline uses scipy.stats, which the
+    # serving process never needs to load.
+    from scipy import stats as spstats
+
     n = x.size
     std = float(np.std(x))
     centered = x - np.mean(x)

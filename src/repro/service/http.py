@@ -270,12 +270,30 @@ def make_app(
 # ---------------------------------------------------------------------------
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One request or header line.
+
+    ``StreamReader.readline`` reports a line longer than the stream's
+    limit (64 KiB by default) as a bare ``ValueError``.
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise ProtocolError("request or header line too long") from None
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket."""
+    """Parse one HTTP/1.1 request; ``None`` on a cleanly closed socket.
+
+    Raises:
+        ProtocolError: on a malformed request line, a request or header
+            line longer than the stream's line limit, or a
+            ``content-length`` that is not an integer in range.
+    """
     try:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader)
     except (ConnectionResetError, asyncio.IncompleteReadError):
         return None
     if not request_line:
@@ -286,12 +304,18 @@ async def _read_request(
     method, target, _version = parts
     headers: Dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0"))
+    raw_length = headers.get("content-length", "0")
+    try:
+        length = int(raw_length)
+    except ValueError:
+        raise ProtocolError(
+            f"content-length {raw_length[:32]!r} is not an integer"
+        ) from None
     if length < 0 or length > MAX_BODY_BYTES:
         raise ProtocolError(f"unacceptable content-length {length}")
     body = await reader.readexactly(length) if length else b""

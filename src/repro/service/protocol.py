@@ -54,6 +54,16 @@ NONCE_BYTES = 16
 #: Digits in a service-generated enrollment PIN.
 DEFAULT_PIN_LENGTH = 4
 
+#: Longest legal trial recording, in seconds: a wire trial may carry at
+#: most ``MAX_TRIAL_SECONDS * fs`` samples per channel. The simulated
+#: entries run 3.7-9.1 s (4- and 6-digit PINs, every input condition);
+#: the engine cost grows with the recording, so this bounds the work one
+#: request can ask for.
+MAX_TRIAL_SECONDS = 30.0
+
+#: Most PPG channels a wire recording may carry (the prototype has 4).
+MAX_CHANNELS = 8
+
 
 # ---------------------------------------------------------------------------
 # Crypto helpers (stdlib only)
@@ -269,6 +279,18 @@ def _decode_recording(payload: Mapping[str, Any], ctx: str) -> PPGRecording:
     shape = _get(rec, "shape", (list, tuple), ctx)
     if len(shape) != 2 or not all(isinstance(d, int) and d > 0 for d in shape):
         raise ProtocolError(f"{ctx}: shape must be two positive integers")
+    n_channels, n_samples = int(shape[0]), int(shape[1])
+    if n_channels > MAX_CHANNELS:
+        raise ProtocolError(
+            f"{ctx}: {n_channels} channels exceed the limit of {MAX_CHANNELS}"
+        )
+    if fs <= 0:
+        raise ProtocolError(f"{ctx}: fs must be positive, got {fs!r}")
+    if n_samples > MAX_TRIAL_SECONDS * fs:
+        raise ProtocolError(
+            f"{ctx}: {n_samples} samples at {fs:g} Hz exceed the "
+            f"{MAX_TRIAL_SECONDS:g} s trial limit"
+        )
     channels_raw = _get(rec, "channels", (list, tuple), ctx)
     channels: List[ChannelInfo] = []
     for i, ch in enumerate(channels_raw):
@@ -290,7 +312,7 @@ def _decode_recording(payload: Mapping[str, Any], ctx: str) -> PPGRecording:
         raw = base64.b64decode(encoded.encode("ascii"), validate=True)
     except Exception:
         raise ProtocolError(f"{ctx}: samples_b64 is not valid base64") from None
-    expected = int(shape[0]) * int(shape[1]) * 8
+    expected = n_channels * n_samples * 8
     if len(raw) != expected:
         raise ProtocolError(
             f"{ctx}: payload holds {len(raw)} bytes but shape {tuple(shape)} "
@@ -298,7 +320,7 @@ def _decode_recording(payload: Mapping[str, Any], ctx: str) -> PPGRecording:
         )
     samples = (
         np.frombuffer(raw, dtype=np.float64)
-        .reshape(int(shape[0]), int(shape[1]))
+        .reshape(n_channels, n_samples)
         .copy()
     )
     return PPGRecording(
@@ -538,6 +560,8 @@ __all__ = [
     "EnrollBeginResponse",
     "EnrollCompleteRequest",
     "EnrollCompleteResponse",
+    "MAX_CHANNELS",
+    "MAX_TRIAL_SECONDS",
     "NONCE_BYTES",
     "SessionStatusResponse",
     "decode_trial",

@@ -5,6 +5,15 @@ waveform detail while killing impulse noise from the low-cost front
 end) and a Savitzky-Golay filter before the extreme-point search in the
 calibration module (removes locally unimportant fluctuation while
 retaining the wave's shape).
+
+The serving path imports only NumPy, ``scipy.linalg`` and
+``scipy.ndimage`` from here. The Savitzky-Golay arithmetic (FIR
+coefficients and polynomial edge fits) is computed locally, mirroring
+``scipy.signal`` operation for operation so results stay bit-identical.
+Importing ``scipy.signal`` also loads ``scipy.stats``,
+``scipy.interpolate`` and ``scipy.optimize`` (about a second of
+start-up), so only the stock reference entry points
+:func:`median_filter` and :func:`savitzky_golay` import it, when called.
 """
 
 from __future__ import annotations
@@ -12,15 +21,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import signal as sps
+from scipy.linalg import lstsq
 from scipy.ndimage import convolve1d
 
 from ..errors import ConfigurationError, SignalError
-
-try:  # scipy private edge helper; absence demotes the cached SG path
-    from scipy.signal._savitzky_golay import _fit_edges_polyfit
-except ImportError:  # pragma: no cover - depends on scipy version
-    _fit_edges_polyfit = None
 
 
 def _check_1d(samples: np.ndarray, name: str) -> np.ndarray:
@@ -35,6 +39,9 @@ def _check_1d(samples: np.ndarray, name: str) -> np.ndarray:
 def median_filter(samples: np.ndarray, kernel: int = 5) -> np.ndarray:
     """Median-filter a 1-D signal (the Noise Removal module).
 
+    The stock ``scipy.signal.medfilt`` reference, imported on call; the
+    pipeline runs :func:`median_filter_multi`.
+
     Args:
         samples: input signal.
         kernel: odd window length.
@@ -47,7 +54,9 @@ def median_filter(samples: np.ndarray, kernel: int = 5) -> np.ndarray:
         raise ConfigurationError(f"median kernel must be a positive odd int: {kernel}")
     if kernel == 1 or samples.size < kernel:
         return samples.copy()
-    return sps.medfilt(samples, kernel_size=kernel)
+    from scipy.signal import medfilt
+
+    return medfilt(samples, kernel_size=kernel)
 
 
 def _median3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -100,6 +109,9 @@ def savitzky_golay(
 ) -> np.ndarray:
     """Savitzky-Golay smoothing (the SG filter of the calibration step).
 
+    The stock ``scipy.signal.savgol_filter`` reference, imported on
+    call; the pipeline runs :func:`savitzky_golay_cached`.
+
     Args:
         samples: input signal.
         window: odd window length, must exceed ``polyorder``.
@@ -116,7 +128,79 @@ def savitzky_golay(
         )
     if samples.size < window:
         return samples.copy()
-    return sps.savgol_filter(samples, window_length=window, polyorder=polyorder)
+    from scipy.signal import savgol_filter
+
+    return savgol_filter(samples, window_length=window, polyorder=polyorder)
+
+
+def _savgol_coeffs(window: int, polyorder: int) -> np.ndarray:
+    """FIR coefficients of the SG smoothing filter, in convolution order.
+
+    ``scipy.signal.savgol_coeffs(window, polyorder)`` (odd window,
+    ``deriv=0``) step for step: the minimum-norm least-squares solution
+    of ``A c = e0`` for the ``(polyorder + 1, window)`` Vandermonde
+    matrix ``A`` of the reversed window offsets, with the same ``cond``
+    and the same LAPACK driver, so the result is bit-identical
+    (``tests/signal/test_filters.py``).
+    """
+    pos = window // 2
+    x = np.flip(np.arange(-pos, window - pos, dtype=np.float64))
+    order = np.arange(polyorder + 1, dtype=np.float64).reshape(-1, 1)
+    a = x ** order
+    y = np.zeros(polyorder + 1)
+    y[0] = 1.0
+    cond = np.finfo(np.float64).eps * max(a.shape)
+    return lstsq(a, y, cond=cond)[0]
+
+
+def _polyfit(x: np.ndarray, y: np.ndarray, deg: int) -> np.ndarray:
+    """Least-squares polynomial fit of every column of ``y`` against ``x``.
+
+    Mirrors scipy's array-API ``polyfit``: a decreasing-power
+    Vandermonde matrix whose columns are scaled to unit norm before the
+    ``scipy.linalg.lstsq`` solve, then unscaled. Returns ``(deg + 1,
+    columns)`` coefficients, highest power first.
+    """
+    order = int(deg) + 1
+    cond = x.shape[0] * np.finfo(x.dtype).eps
+    powers = np.flip(np.arange(order, dtype=x.dtype))
+    lhs = x[:, None] ** powers[None, :]
+    scale = np.sqrt(np.sum(lhs * lhs, axis=0))
+    lhs /= scale
+    c = lstsq(lhs, y, cond=cond)[0]
+    return (c.T / scale).T
+
+
+def _polyval(p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Horner evaluation of the column polynomials ``p`` at ``x``."""
+    y = np.zeros_like(x)
+    for j in range(p.shape[0]):
+        y = y * x + p[j, ...]
+    return y
+
+
+def _fit_edge(
+    samples: np.ndarray,
+    window_start: int,
+    window_stop: int,
+    interp_start: int,
+    interp_stop: int,
+    polyorder: int,
+    out: np.ndarray,
+) -> None:
+    """Overwrite ``out[interp_start:interp_stop]`` with the polynomial
+    fitted to ``samples[window_start:window_stop]`` (scipy's
+    ``_fit_edge`` for a 1-D signal and ``deriv=0``)."""
+    edge = samples[window_start:window_stop].reshape(-1, 1)
+    poly = _polyfit(
+        np.arange(0, window_stop - window_start, dtype=samples.dtype),
+        edge,
+        polyorder,
+    )
+    i = np.arange(
+        interp_start - window_start, interp_stop - window_start, dtype=poly.dtype
+    )
+    out[interp_start:interp_stop] = _polyval(poly, i.reshape(-1, 1)).reshape(-1)
 
 
 @lru_cache(maxsize=16)
@@ -128,7 +212,7 @@ def _savgol_coeffs_cached(window: int, polyorder: int) -> np.ndarray:
     array is frozen (``setflags(write=False)``) before publication, so
     concurrent callers share one immutable coefficient set safely.
     """
-    coeffs = sps.savgol_coeffs(window, polyorder)
+    coeffs = _savgol_coeffs(window, polyorder)
     coeffs.setflags(write=False)
     return coeffs
 
@@ -154,11 +238,11 @@ def savitzky_golay_cached(
     ``scipy.signal.savgol_filter`` (mode ``"interp"``) is one FIR
     correlation plus two least-squares polynomial edge fits — but it
     recomputes the FIR coefficients (their own lstsq solve) on every
-    call. This variant reuses cached coefficients and replays scipy's
-    own interior/edge steps, so the output is bit-identical to
+    call. This variant reuses cached coefficients and runs the same
+    interior/edge steps with this module's numpy + ``scipy.linalg``
+    mirror of scipy's arithmetic, so the output is bit-identical to
     :func:`savitzky_golay` (pinned by ``tests/signal/test_filters.py``)
-    at ~40% less cost. When the private scipy edge helper is missing,
-    it silently falls back to the stock filter.
+    at ~40% less cost, without importing ``scipy.signal``.
 
     Args:
         samples: input signal.
@@ -179,14 +263,12 @@ def savitzky_golay_cached(
         )
     if samples.size < window:
         return samples.copy()
-    if _fit_edges_polyfit is None:  # pragma: no cover - scipy-dependent
-        return sps.savgol_filter(
-            samples, window_length=window, polyorder=polyorder
-        )
     coeffs = _savgol_coeffs_cached(window, polyorder)
     smoothed = convolve1d(samples, coeffs, axis=-1, mode="constant")
     if fit_edges:
-        _fit_edges_polyfit(samples, window, polyorder, 0, 1.0, -1, smoothed)
+        n, half = samples.size, window // 2
+        _fit_edge(samples, 0, window, 0, half, polyorder, smoothed)
+        _fit_edge(samples, n - window, n, n - half, n, polyorder, smoothed)
     return smoothed
 
 

@@ -12,7 +12,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
-from scipy import signal as sps
 
 from ..errors import ConfigurationError, SignalError
 from ..types import PPGRecording
@@ -44,9 +43,13 @@ def decimate_signal(
     if fs_out == fs_in:
         return samples.copy()
 
+    # Imported on call: only the rate sweeps resample, and importing
+    # scipy.signal costs the serving process about a second of start-up.
+    from scipy.signal import resample_poly
+
     ratio = Fraction(fs_out / fs_in).limit_denominator(1000)
-    return sps.resample_poly(samples, up=ratio.numerator, down=ratio.denominator,
-                             axis=-1)
+    return resample_poly(samples, up=ratio.numerator, down=ratio.denominator,
+                         axis=-1)
 
 
 def decimate_recording(recording: PPGRecording, fs_out: float) -> PPGRecording:

@@ -8,11 +8,38 @@ wire-enrollment happy paths — build a fresh one.
 
 from __future__ import annotations
 
+import asyncio
+
 import pytest
 
 from repro.core import EnrollmentOptions, ModelRegistry
 from repro.data import ThirdPartyStore
 from repro.service import AuthService
+
+
+@pytest.fixture(autouse=True)
+def no_unhandled_loop_exceptions(monkeypatch):
+    """Fail a test whose event loops reported an unhandled exception.
+
+    asyncio only *logs* an exception that escapes a connection handler
+    task (or a task whose exception nobody retrieved). The handler
+    installed here — on every loop the test creates, through the
+    default-handler hook each loop falls back to — records the report,
+    and teardown fails the test on any.
+    """
+    reported = []
+    default = asyncio.BaseEventLoop.default_exception_handler
+
+    def record(loop, context):
+        reported.append(context)
+        default(loop, context)
+
+    monkeypatch.setattr(asyncio.BaseEventLoop, "default_exception_handler", record)
+    yield
+    assert not reported, [
+        f"{c.get('message')}: {c.get('exception')!r}" for c in reported
+    ]
+
 
 #: PIN every pre-enrolled service user types.
 PIN = "1628"

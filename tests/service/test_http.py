@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import base64
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.session import RetryPolicy
@@ -201,6 +203,30 @@ class TestErrorMapping:
         assert body["error"]["code"] == "protocol_error"
         assert "outside recording" in body["error"]["message"]
 
+    def test_recording_repeated_400_times_is_400(self, app, probes):
+        # ~200 s of signal used to be accepted and cost ~80x a normal
+        # probe's engine time; the trial-length bound refuses it.
+        trial = encode_trial(probes["legit"][0])
+        rec = trial["recording"]
+        samples = np.frombuffer(base64.b64decode(rec["samples_b64"]))
+        samples = np.tile(samples.reshape(rec["shape"]), (1, 400))
+        rec["shape"] = list(samples.shape)
+        rec["samples_b64"] = base64.b64encode(samples.tobytes()).decode("ascii")
+        nonce = make_nonce()
+        status, body, _ = post_json(
+            app,
+            "/v1/auth",
+            {
+                "user_id": "u0",
+                "nonce": nonce,
+                "proof": pin_proof(PIN, "u0", nonce),
+                "trial": trial,
+            },
+        )
+        assert status == 400, body
+        assert body["error"]["code"] == "protocol_error"
+        assert "trial limit" in body["error"]["message"]
+
     def test_replayed_nonce_is_403(self, app, probes):
         nonce = make_nonce()
         req = {
@@ -385,6 +411,40 @@ class TestSocketServer:
             await writer.drain()
             status_line = await reader.readline()
             assert b"400" in status_line
+            writer.close()
+            await writer.wait_closed()
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"POST /v1/auth HTTP/1.1\r\ncontent-length: abc\r\n\r\n",
+            b"GET /v1/health HTTP/1.1\r\nx-pad: "
+            + b"a" * (70 * 1024)
+            + b"\r\n\r\n",
+            b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n",
+        ],
+        ids=["content-length-not-int", "header-too-long", "request-line-too-long"],
+    )
+    def test_unreadable_request_closes_with_400(self, service, raw):
+        # Both used to escape _read_request as a bare ValueError: the
+        # server dropped the connection without a response.
+        async def run():
+            ready = asyncio.Event()
+            task = asyncio.create_task(serve(service, "127.0.0.1", 0, ready=ready))
+            await asyncio.wait_for(ready.wait(), 5)
+            host, port = ready.address
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(raw)
+            await writer.drain()
+            head, _, body = (await reader.read()).partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 400 ")
+            assert b"connection: close" in head
+            assert json.loads(body)["error"]["code"] == "protocol_error"
             writer.close()
             await writer.wait_closed()
             task.cancel()

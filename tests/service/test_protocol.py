@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from repro.service.protocol import (
     AuthResponse,
     EnrollBeginRequest,
     EnrollCompleteRequest,
+    MAX_CHANNELS,
+    MAX_TRIAL_SECONDS,
     decode_trial,
     derive_proof_key,
     encode_trial,
@@ -155,6 +159,53 @@ class TestTrialRoundTrip:
             wire["events"][0][name] = time
             with pytest.raises(ProtocolError, match="outside recording"):
                 decode_trial(wire, one_trial.pin)
+
+
+
+def _resized(trial, n_channels, n_samples):
+    """``trial`` with its recording tiled or cut to the given shape; the
+    keystrokes keep their times, so they still land on samples."""
+    rec = trial.recording
+    rows = -(-n_channels // rec.n_channels)
+    cols = -(-n_samples // rec.n_samples)
+    samples = np.tile(rec.samples, (rows, cols))[:n_channels, :n_samples]
+    channels = (rec.channels * rows)[:n_channels]
+    return replace(
+        trial, recording=replace(rec, samples=samples, channels=channels)
+    )
+
+
+class TestTrialBounds:
+    """The protocol bounds a trial's size, not the 64 MiB body cap."""
+
+    def test_longest_legal_trial_is_accepted(self, one_trial):
+        limit = int(MAX_TRIAL_SECONDS * one_trial.recording.fs)
+        trial = _resized(one_trial, one_trial.recording.n_channels, limit)
+        back = decode_trial(encode_trial(trial), trial.pin)
+        assert back.recording.n_samples == limit
+        assert np.array_equal(back.recording.samples, trial.recording.samples)
+
+    def test_one_sample_over_the_limit_is_rejected(self, one_trial):
+        limit = int(MAX_TRIAL_SECONDS * one_trial.recording.fs)
+        trial = _resized(one_trial, one_trial.recording.n_channels, limit + 1)
+        with pytest.raises(ProtocolError, match="trial limit"):
+            decode_trial(encode_trial(trial), trial.pin)
+
+    def test_most_channels_accepted_one_more_rejected(self, one_trial):
+        n = one_trial.recording.n_samples
+        trial = _resized(one_trial, MAX_CHANNELS, n)
+        back = decode_trial(encode_trial(trial), trial.pin)
+        assert back.recording.n_channels == MAX_CHANNELS
+        trial = _resized(one_trial, MAX_CHANNELS + 1, n)
+        with pytest.raises(ProtocolError, match="channels exceed"):
+            decode_trial(encode_trial(trial), trial.pin)
+
+    @pytest.mark.parametrize("fs", [0, -100.0])
+    def test_non_positive_rate_rejected(self, one_trial, fs):
+        wire = encode_trial(one_trial)
+        wire["recording"]["fs"] = fs
+        with pytest.raises(ProtocolError, match="fs must be positive"):
+            decode_trial(wire, one_trial.pin)
 
 
 class TestRequestParsers:

@@ -233,3 +233,37 @@ class TestSavitzkyGolayCached:
             savitzky_golay_cached(np.ones(32), window=3, polyorder=3)
         with pytest.raises(SignalError):
             savitzky_golay_cached(np.ones((2, 32)))
+
+
+#: Odd windows 5-31 at polyorders 1-5. Windows 5-11 at polyorder 3 are
+#: the ones ``PipelineConfig.scaled_to`` produces for the rate sweeps.
+SG_GRID = [(w, p) for w in range(5, 32, 2) for p in range(1, 6) if p < w]
+
+
+class TestSavgolMirrorsScipy:
+    """The module's own SG arithmetic reproduces ``scipy.signal`` bit for
+    bit, so the pipeline never has to import it."""
+
+    @pytest.mark.parametrize("window, polyorder", SG_GRID)
+    def test_coeffs_bit_identical(self, window, polyorder):
+        from scipy.signal import savgol_coeffs
+
+        from repro.signal.filters import _savgol_coeffs
+
+        assert np.array_equal(
+            _savgol_coeffs(window, polyorder), savgol_coeffs(window, polyorder)
+        )
+
+    @pytest.mark.parametrize("window, polyorder", SG_GRID)
+    def test_filter_with_edge_fits_bit_identical(self, window, polyorder):
+        from scipy.signal import savgol_filter
+
+        from repro.signal.filters import savitzky_golay_cached
+
+        rng = np.random.default_rng(100 * window + polyorder)
+        for n in (window, window + 1, 2 * window + 1, 97, 541, 618, 1000):
+            x = rng.normal(0.0, 50.0, n) + rng.uniform(-1e3, 1e3)
+            assert np.array_equal(
+                savitzky_golay_cached(x, window, polyorder, fit_edges=True),
+                savgol_filter(x, window, polyorder),
+            ), n
